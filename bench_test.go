@@ -338,6 +338,64 @@ func BenchmarkCollectorPath(b *testing.B) {
 	}
 }
 
+// BenchmarkVerifiedCampaign prices the verified synchronous campaign over
+// a compiled condition — the shape of a production sweep: a fixed
+// 512-scenario VerifyRuns campaign per op over the explicit n=8 max
+// condition (compiled at System construction, so every round-1 view
+// decode walks packed keys), cycling Figure2, EarlyDeciding and Classical
+// per scenario. As in BenchmarkCollectorPath the batch makes allocs/op ≈
+// 512 × per-run cost plus fixed campaign setup; the benchgate budget holds
+// verified runs of all three executors allocation-free.
+func BenchmarkVerifiedCampaign(b *testing.B) {
+	p := kset.Params{N: 8, T: 5, K: 2, D: 3, L: 1}
+	mc, err := kset.NewMaxCondition(p.N, 4, p.X(), p.L)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ec, err := kset.NewExplicitCondition(p.N, 4, p.L)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mc.ForEachMember(func(v kset.Vector) bool {
+		err = ec.AddAuto(v.Clone(), condition.MaxL(p.L))
+		return err == nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys, err := kset.New(kset.WithParams(p), kset.WithCondition(ec))
+	if err != nil {
+		b.Fatal(err)
+	}
+	executors := []kset.Executor{kset.Figure2, kset.EarlyDeciding, kset.Classical}
+	rng := rand.New(rand.NewSource(11))
+	const batch = 512
+	scs := make([]kset.Scenario, batch)
+	for i := range scs {
+		input := make(kset.Vector, p.N)
+		for j := range input {
+			input[j] = kset.Value(1 + rng.Intn(4))
+		}
+		scs[i] = kset.Scenario{
+			Input:    input,
+			FP:       kset.RandomCrashes(rng, p.N, p.T, p.RMax()),
+			Executor: executors[i%len(executors)],
+		}
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stats, err := sys.RunCampaign(ctx, scs, kset.VerifyRuns())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if stats.Runs != batch || stats.Errors != 0 || stats.Violations != 0 {
+			b.Fatalf("campaign ran %d/%d with %d errors, %d violations", stats.Runs, batch, stats.Errors, stats.Violations)
+		}
+	}
+}
+
 // BenchmarkAsyncCampaign prices the asynchronous campaign hot path — the
 // same fixed 512-scenario batch shape as BenchmarkCollectorPath, but
 // through the Asynchronous executor: virtual-scheduler runs on pooled

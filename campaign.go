@@ -419,7 +419,8 @@ func (c *Campaign) worker(i int) {
 			if !ok {
 				return
 			}
-			c.runOne(w, shard, c.slice[idx])
+			w.sc = c.slice[idx]
+			c.runOne(w, shard)
 		}
 	}
 	for {
@@ -430,17 +431,19 @@ func (c *Campaign) worker(i int) {
 			if !ok {
 				return
 			}
-			c.runOne(w, shard, sc)
+			w.sc = sc
+			c.runOne(w, shard)
 		}
 	}
 }
 
-// runOne executes one scenario on worker w and folds its Observation into
-// the worker's collector shards. Without a results channel the worker
-// recycles a single Result, so the run — observation included — allocates
-// nothing.
-func (c *Campaign) runOne(w *worker, shard []Collector, sc Scenario) {
-	ex, err := c.sys.resolveExecutor(&sc)
+// runOne executes the scenario in w.sc on worker w and folds its
+// Observation into the worker's collector shards. Without a results
+// channel the worker recycles a single Result, so the run — observation
+// included — allocates nothing.
+func (c *Campaign) runOne(w *worker, shard []Collector) {
+	sc := &w.sc
+	ex, err := c.sys.resolveExecutor(sc)
 	var res *Result
 	if err == nil {
 		var reuse *Result
@@ -450,7 +453,7 @@ func (c *Campaign) runOne(w *worker, shard []Collector, sc Scenario) {
 			}
 			reuse = w.res
 		}
-		res, err = safeRun(c.ctx, ex, c.sys, w, &sc, reuse)
+		res, err = safeRun(c.ctx, ex, c.sys, w, sc, reuse)
 	}
 	// A run aborted by the campaign's own cancellation did not run at all:
 	// it is excluded from the stats (Wait reports the context error next to
@@ -458,7 +461,7 @@ func (c *Campaign) runOne(w *worker, shard []Collector, sc Scenario) {
 	if err != nil && c.ctx.Err() != nil && errors.Is(err, c.ctx.Err()) {
 		return
 	}
-	out := Outcome{Scenario: sc}
+	out := Outcome{Scenario: *sc}
 	var o Observation
 	if err != nil {
 		o.Err = true
@@ -478,7 +481,13 @@ func (c *Campaign) runOne(w *worker, shard []Collector, sc Scenario) {
 			v := Verify(sc.Input, sc.FP, res, c.sys.p.K)
 			o.Verified = true
 			o.Violation = !v.OK()
-			out.Verdict = &v
+			if c.results != nil {
+				// Only a delivered Outcome needs its own copy: taking v's
+				// address unconditionally would move every verdict to
+				// the heap.
+				vc := v
+				out.Verdict = &vc
+			}
 		}
 		out.Result = res
 	}

@@ -20,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -106,20 +105,17 @@ func run(args []string) error {
 		return err
 	}
 
-	ids := make([]int, 0, *n)
-	for id := 1; id <= *n; id++ {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
 	fmt.Printf("\n%-5s %-10s %-10s %-8s\n", "proc", "proposed", "decided", "round")
-	for _, id := range ids {
+	decs, crashed := res.Decisions, res.Crashed // both ID-ascending
+	for id := 1; id <= *n; id++ {
 		pid := rounds.ProcessID(id)
-		decided, ok := res.Decisions[pid]
 		switch {
-		case res.Crashed[pid] && !ok:
+		case len(decs) > 0 && decs[0].ID == pid:
+			fmt.Printf("p%-4d %-10v %-10v %-8d\n", id, input[id-1], decs[0].Value, decs[0].Round)
+			decs = decs[1:]
+		case len(crashed) > 0 && crashed[0] == pid:
 			fmt.Printf("p%-4d %-10v %-10s %-8s\n", id, input[id-1], "crashed", "-")
-		case ok:
-			fmt.Printf("p%-4d %-10v %-10v %-8d\n", id, input[id-1], decided, res.DecisionRound[pid])
+			crashed = crashed[1:]
 		default:
 			fmt.Printf("p%-4d %-10v %-10s %-8s\n", id, input[id-1], "none", "-")
 		}

@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -126,6 +127,15 @@ func engineRun(t *testing.T, fp rounds.FailurePattern) *rounds.Result {
 	return res
 }
 
+// decisionsByID indexes an engine result's decisions by process ID.
+func decisionsByID(res *rounds.Result) map[int]rounds.Decision {
+	by := make(map[int]rounds.Decision, len(res.Decisions))
+	for _, d := range res.Decisions {
+		by[int(d.ID)] = d
+	}
+	return by
+}
+
 // TestFleetLosslessMatchesEngine: three OS processes over real loopback
 // UDP decide exactly what the in-process engine decides for the same
 // instance — value and round, per process, with nobody suspected.
@@ -135,16 +145,16 @@ func TestFleetLosslessMatchesEngine(t *testing.T) {
 	for id := 1; id <= 3; id++ {
 		procs[id] = startPeer(t, id, addrs)
 	}
-	want := engineRun(t, rounds.FailurePattern{})
+	want := decisionsByID(engineRun(t, rounds.FailurePattern{}))
 	for id, p := range procs {
 		rep := waitPeer(t, id, p, 30*time.Second)
-		wv, decided := want.Decisions[rounds.ProcessID(id)]
+		wd, decided := want[id]
 		if rep.Decided != decided {
 			t.Fatalf("peer %d: decided=%v, engine says %v", id, rep.Decided, decided)
 		}
-		if rep.Value != int(wv) || rep.Round != want.DecisionRound[rounds.ProcessID(id)] {
+		if rep.Value != int(wd.Value) || rep.Round != wd.Round {
 			t.Errorf("peer %d decided %d@r%d, engine %d@r%d",
-				id, rep.Value, rep.Round, wv, want.DecisionRound[rounds.ProcessID(id)])
+				id, rep.Value, rep.Round, wd.Value, wd.Round)
 		}
 		if len(rep.Suspected) != 0 {
 			t.Errorf("peer %d suspected %v on a lossless network", id, rep.Suspected)
@@ -196,24 +206,25 @@ func TestFleetSurvivesKilledPeer(t *testing.T) {
 		1: startPeer(t, 1, addrs, "-timeout", "500ms"),
 		2: startPeer(t, 2, addrs, "-timeout", "500ms"),
 	}
-	want := engineRun(t, rounds.FailurePattern{Crashes: map[rounds.ProcessID]rounds.Crash{
+	res := engineRun(t, rounds.FailurePattern{Crashes: map[rounds.ProcessID]rounds.Crash{
 		3: {Round: 1, AfterSends: 0},
 	}})
+	want := decisionsByID(res)
 	for id, p := range survivors {
 		rep := waitPeer(t, id, p, 30*time.Second)
-		wv, decided := want.Decisions[rounds.ProcessID(id)]
+		wd, decided := want[id]
 		if rep.Decided != decided {
 			t.Fatalf("survivor %d: decided=%v, engine says %v", id, rep.Decided, decided)
 		}
-		if decided && (rep.Value != int(wv) || rep.Round != want.DecisionRound[rounds.ProcessID(id)]) {
+		if decided && (rep.Value != int(wd.Value) || rep.Round != wd.Round) {
 			t.Errorf("survivor %d decided %d@r%d, engine %d@r%d",
-				id, rep.Value, rep.Round, wv, want.DecisionRound[rounds.ProcessID(id)])
+				id, rep.Value, rep.Round, wd.Value, wd.Round)
 		}
 		if len(rep.Suspected) != 1 || rep.Suspected[0] != 3 {
 			t.Errorf("survivor %d suspected %v, want [3]", id, rep.Suspected)
 		}
 	}
-	if _, crashed := want.Crashed[3]; !crashed {
+	if !slices.Contains(res.Crashed, 3) {
 		t.Error("engine reference run does not count process 3 crashed")
 	}
 }

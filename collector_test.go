@@ -191,10 +191,10 @@ func TestCampaignCollectorShards(t *testing.T) {
 }
 
 // TestCampaignRunAllocations pins the per-run allocation budget of a
-// stats-only campaign with the Collector pipeline in place: the observe
-// path — Observation construction, collector fold, histogram and
-// breakdowns — must add zero allocations over the engine's own ~1
-// alloc/run steady state.
+// stats-only campaign with the Collector pipeline in place: neither the
+// run (recycled Result, scenario held by the worker) nor the observe path
+// — Observation construction, collector fold, histogram and breakdowns —
+// allocates, leaving only campaign setup (measured: 23 per 2,048 runs).
 func TestCampaignRunAllocations(t *testing.T) {
 	p := testParams()
 	sys := testSystem(t, kset.WithParams(p), kset.WithCondition(testCondition(t, p)), kset.WithWorkers(1))
@@ -219,8 +219,8 @@ func TestCampaignRunAllocations(t *testing.T) {
 		}
 	})
 	perRun := avg / runs
-	if perRun > 1.2 {
-		t.Errorf("stats-only campaign allocates %.2f/run (%.0f total), want ≤ 1.2 — "+
-			"the collector observe path must stay allocation-free", perRun, avg)
+	if perRun > 0.1 {
+		t.Errorf("stats-only campaign allocates %.2f/run (%.0f total), want ≤ 0.1 — "+
+			"runs and the collector observe path must stay allocation-free", perRun, avg)
 	}
 }

@@ -61,7 +61,11 @@
 //	sys, _ := kset.New(kset.WithParams(p), kset.WithCondition(c))
 //	input := kset.VectorOf(4, 4, 4, 2, 1, 2)
 //	res, _ := sys.Run(context.Background(), input, kset.NoFailures())
-//	fmt.Println(res.Decisions, res.MaxDecisionRound())
+//	fmt.Println(res.Decisions, res.MaxDecisionRound()) // [1:4 2:4 3:4 4:4 5:4 6:4] 2
+//	v, ok := res.Decision(3)                           // p3's decided value
+//
+// Result.Decisions lists one {ID, Value, Round} record per decider in
+// ascending process ID; Result.Crashed lists the crashed IDs the same way.
 //
 // The executors Figure2 (default), EarlyDeciding, Classical and
 // Asynchronous select the algorithm; kset.WithExecutor picks the system

@@ -39,7 +39,7 @@ func ExampleSystem_Run() {
 	fmt.Println("decisions:", res.Decisions)
 	fmt.Println("decided in round", res.MaxDecisionRound(), "of at most", p.RMax())
 	// Output:
-	// decisions: map[1:4 2:4 3:4 4:4 5:4 6:4]
+	// decisions: [1:4 2:4 3:4 4:4 5:4 6:4]
 	// decided in round 2 of at most 2
 }
 

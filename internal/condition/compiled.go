@@ -69,7 +69,10 @@ type Compiled struct {
 	dOff    []int32
 }
 
-var _ Indexed = (*Compiled)(nil)
+var (
+	_ Indexed     = (*Compiled)(nil)
+	_ ViewDecoder = (*Compiled)(nil)
+)
 
 // Builder accumulates validated (vector, recognized set) pairs and
 // compiles them into a Compiled condition. It maintains the membership
@@ -403,22 +406,88 @@ func (c *Compiled) IndexOf(i vector.Vector) (int, bool) {
 		return 0, false
 	}
 	if key, ok := i.Key64(); ok {
-		if len(c.skeys) == 0 {
-			return 0, false
-		}
-		mask := uint64(len(c.slots) - 1)
-		for s := (key * hashMul) >> c.shift; ; s = (s + 1) & mask {
-			pos := c.slots[s]
-			if pos < 0 {
-				return 0, false
-			}
-			if c.skeys[pos] == key {
-				return int(c.sidx[pos]), true
-			}
-		}
+		return c.probe(key)
 	}
 	idx, ok := c.strIdx[i.Key()]
 	return idx, ok
+}
+
+// probe looks a packed key up in the open-addressing table and returns
+// the member index it belongs to.
+func (c *Compiled) probe(key uint64) (int, bool) {
+	if len(c.skeys) == 0 {
+		return 0, false
+	}
+	mask := uint64(len(c.slots) - 1)
+	for s := (key * hashMul) >> c.shift; ; s = (s + 1) & mask {
+		pos := c.slots[s]
+		if pos < 0 {
+			return 0, false
+		}
+		if c.skeys[pos] == key {
+			return int(c.sidx[pos]), true
+		}
+	}
+}
+
+// DecodeView implements ViewDecoder: the Definition-4 decoding of DecodeView
+// walked directly on packed keys. J packs with ⊥ = 0, so each completion's
+// key is J's key plus digit·2^(6·pos) for each hole's digit 1..m, where pos
+// counts entries from the right; the walk steps an odometer over the hole
+// digits (last hole fastest) and probes the table once per completion,
+// with no vector, closure or allocation. Views that do not pack (n > 10,
+// an entry above 63) and domains reaching 64 take DecodeViewGeneric.
+func (c *Compiled) DecodeView(j vector.Vector) (vector.Set, bool) {
+	if len(j) != c.n {
+		return vector.Set{}, false // no member contains a view of another size
+	}
+	key, ok := j.Key64()
+	if !ok || c.m > 63 {
+		return DecodeViewGeneric(c, j)
+	}
+	var shift [10]uint   // bit offset of each hole's digit in the key
+	var digit [10]uint64 // each hole's current digit, 1..m
+	holes := 0
+	for i, v := range j {
+		if v == vector.Bottom {
+			shift[holes] = uint(6 * (len(j) - 1 - i))
+			digit[holes] = 1
+			key += 1 << shift[holes]
+			holes++
+		}
+	}
+	var acc vector.Set
+	found := false
+	for {
+		if idx, ok := c.probe(key); ok {
+			if !found {
+				acc, found = c.hs[idx], true
+			} else {
+				acc = acc.Intersect(c.hs[idx])
+			}
+			// The intersection only shrinks; once empty it stays empty.
+			if acc.Empty() {
+				break
+			}
+		}
+		h := holes - 1
+		for ; h >= 0; h-- {
+			if digit[h] < uint64(c.m) {
+				digit[h]++
+				key += 1 << shift[h]
+				break
+			}
+			key -= (digit[h] - 1) << shift[h]
+			digit[h] = 1
+		}
+		if h < 0 {
+			break
+		}
+	}
+	if !found {
+		return vector.Set{}, false
+	}
+	return acc.Intersect(j.Vals()), true
 }
 
 // Contains implements Condition via one IndexOf probe.

@@ -411,14 +411,59 @@ func TestViolationWitnessIsOwned(t *testing.T) {
 	}
 }
 
+// TestCompiledDecodeViewMatchesGeneric pins the packed-key decoder to the
+// enumeration it replaces: on random views — erased members that hit, and
+// random vectors that mostly miss — Compiled.DecodeView equals
+// DecodeViewGeneric, including the shapes that do not pack and fall back
+// (n > 10, a domain reaching 64, a view of the wrong length).
+func TestCompiledDecodeViewMatchesGeneric(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	for _, tc := range []struct{ n, m, l, count, maxHoles int }{
+		{3, 2, 1, 4, 3},
+		{4, 3, 2, 35, 4},
+		{6, 4, 2, 300, 3},
+		{9, 5, 2, 400, 3},
+		{10, 63, 3, 200, 2}, // widest shape that still packs
+		{11, 2, 1, 300, 4},  // n > 10: Key64 cannot pack
+		{3, 64, 2, 200, 2},  // the value 64 does not pack
+	} {
+		c := Compile(randomExplicit(t, r, tc.n, tc.m, tc.l, tc.count))
+		for trial := 0; trial < 300; trial++ {
+			var j vector.Vector
+			if trial%2 == 0 {
+				j = c.MemberAt(r.Intn(c.Size())).Clone()
+			} else {
+				j = make(vector.Vector, tc.n)
+				for k := range j {
+					j[k] = vector.Value(1 + r.Intn(tc.m))
+				}
+			}
+			for h := r.Intn(tc.maxHoles + 1); h > 0; h-- {
+				j[r.Intn(tc.n)] = vector.Bottom
+			}
+			got, okG := c.DecodeView(j)
+			want, okW := DecodeViewGeneric(c, j)
+			if okG != okW || !got.Equal(want) {
+				t.Fatalf("%+v: DecodeView(%v) = %v,%v; generic %v,%v", tc, j, got, okG, want, okW)
+			}
+		}
+		short := vector.New(tc.n - 1)
+		if h, ok := c.DecodeView(short); ok || !h.Empty() {
+			t.Errorf("%+v: view of length %d decoded to %v", tc, tc.n-1, h)
+		}
+	}
+}
+
 // TestCompiledLookupAllocFree is the allocation-budget gate of the
-// compiled layer: membership probes, decodes and whole legality checks on
-// a compiled condition allocate nothing.
+// compiled layer: membership probes, view decodes and whole legality
+// checks on a compiled condition allocate nothing.
 func TestCompiledLookupAllocFree(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	e := randomExplicit(t, r, 6, 4, 2, 120)
 	c := Compile(e)
 	member := c.MemberAt(7).Clone()
+	view := member.Clone()
+	view[1], view[4] = vector.Bottom, vector.Bottom
 	outside := vector.OfInts(1, 1, 1, 1, 1, 2)
 	for outside != nil && c.Contains(outside) {
 		outside[5]++
@@ -432,6 +477,9 @@ func TestCompiledLookupAllocFree(t *testing.T) {
 		}
 		if _, ok := c.Lookup(member); !ok {
 			t.Fatal("lookup broken")
+		}
+		if _, ok := c.DecodeView(view); !ok {
+			t.Fatal("decode broken")
 		}
 		c.ForEachMember(func(i vector.Vector) bool { return true })
 		if c.Mass(7, c.RecognizedAt(7)) <= 0 || c.DensestMass(7, 2) <= 0 {

@@ -41,8 +41,8 @@ func Predicate(c Condition, j vector.Vector) bool {
 // (x,ℓ)-legal condition, so callers may decide any value of the result; the
 // synchronous algorithm decides max(h_ℓ(J)).
 //
-// Conditions implementing ViewDecoder (MaxCondition does, in closed form)
-// are decoded directly; otherwise the cost is one pass over the m^{#⊥(J)}
+// Conditions implementing ViewDecoder (MaxCondition in closed form,
+// Compiled on packed keys) are decoded directly; otherwise the cost is one pass over the m^{#⊥(J)}
 // completions of J (members not containing J contribute nothing, so only
 // completions need inspecting).
 func DecodeView(c Condition, j vector.Vector) (vector.Set, bool) {

@@ -37,7 +37,8 @@
 // run-time form produced by Compile (or directly by a Builder, or by the
 // CompileMax/CompileMin enumerating constructors): a flat member array
 // indexed by a sorted packed-key table with open addressing, so Contains,
-// Recognize and the fused Lookup cost one probe and zero allocations, and
+// Recognize and the fused Lookup cost one probe and zero allocations,
+// DecodeView costs one probe per completion of the view, and
 // per-member count/densest-mass tables answer the mass queries of
 // legality checking and recognizer search in O(|set|). Both implement
 // Indexed, the read-only positional view that the legality Checker, the

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"kset/internal/condition"
 	"kset/internal/rounds"
 	"kset/internal/vector"
@@ -39,7 +41,9 @@ import (
 // configurations (see early_test.go), which also pins its measured bound
 // min(⌊f/k⌋+3, plain bound).
 
-// EarlyMsg wraps a protocol payload with the early-decision flag.
+// EarlyMsg wraps a protocol payload with the early-decision flag. The
+// early-deciding processes send it by pointer, reusing one per process
+// (see CondProcess.msg), so a round's broadcast costs no allocation.
 type EarlyMsg struct {
 	// Payload is the wrapped protocol message (a proposal value in round
 	// 1, a StateMsg in later rounds of the condition algorithm, an
@@ -49,15 +53,19 @@ type EarlyMsg struct {
 	Flag bool
 }
 
-// Freeze implements rounds.Freezer: the wrapper is a value, but its
-// Payload may point into the sender's reused buffer, so a transport
-// retaining the message past its round freezes recursively.
-func (m EarlyMsg) Freeze() any {
-	if fz, ok := m.Payload.(rounds.Freezer); ok {
-		m.Payload = fz.Freeze()
+// Freeze implements rounds.Freezer: both the wrapper and its Payload may
+// be the sender's reused buffers, so a transport retaining the message
+// past its round copies the wrapper and freezes the payload recursively.
+func (m *EarlyMsg) Freeze() any {
+	c := *m
+	if fz, ok := c.Payload.(rounds.Freezer); ok {
+		c.Payload = fz.Freeze()
 	}
-	return m
+	return &c
 }
+
+// String renders the message as its fields (used by execution traces).
+func (m *EarlyMsg) String() string { return fmt.Sprint(*m) }
 
 // earlyTracker holds the shared flag bookkeeping.
 type earlyTracker struct {
@@ -89,7 +97,7 @@ func (e *earlyTracker) observe(round int, recv []any) bool {
 		// A non-EarlyMsg payload (a stale copy from a fault-injecting
 		// transport) still proves the sender alive; it just carries no
 		// flag.
-		if m, ok := payload.(EarlyMsg); ok && m.Flag {
+		if m, ok := payload.(*EarlyMsg); ok && m.Flag {
 			e.flagged[i+1] = true
 			e.flag = true // relay next round, then decide
 		}
@@ -117,6 +125,9 @@ type EarlyCondProcess struct {
 	// payloads into; the engine's lock-step structure (the inner Step
 	// consumes it before Step returns) makes the reuse safe.
 	unwrapped []any
+
+	// msg is the reusable broadcast Send hands out by address.
+	msg EarlyMsg
 }
 
 var _ rounds.Process = (*EarlyCondProcess)(nil)
@@ -137,7 +148,8 @@ func NewEarlyRun(p Params, c condition.Condition, input vector.Vector) ([]rounds
 
 // Send implements rounds.Process.
 func (e *EarlyCondProcess) Send(round int) any {
-	return EarlyMsg{Payload: e.inner.Send(round), Flag: e.early.flag}
+	e.msg = EarlyMsg{Payload: e.inner.Send(round), Flag: e.early.flag}
+	return &e.msg
 }
 
 // Step implements rounds.Process.
@@ -148,7 +160,7 @@ func (e *EarlyCondProcess) Step(round int, recv []any) (vector.Value, bool) {
 	}
 	unwrapped := e.unwrapped[:len(recv)]
 	for i, payload := range recv {
-		if m, ok := payload.(EarlyMsg); ok {
+		if m, ok := payload.(*EarlyMsg); ok {
 			unwrapped[i] = m.Payload
 		} else {
 			unwrapped[i] = nil
@@ -203,6 +215,9 @@ type EarlyClassicalProcess struct {
 	est       vector.Value
 	lastRound int
 	early     *earlyTracker
+
+	// msg is the reusable broadcast Send hands out by address.
+	msg EarlyMsg
 }
 
 var _ rounds.Process = (*EarlyClassicalProcess)(nil)
@@ -228,14 +243,15 @@ func NewEarlyClassicalRun(n, t, k int, input vector.Vector) ([]rounds.Process, e
 
 // Send implements rounds.Process.
 func (e *EarlyClassicalProcess) Send(int) any {
-	return EarlyMsg{Payload: e.est, Flag: e.early.flag}
+	e.msg = EarlyMsg{Payload: e.est, Flag: e.early.flag}
+	return &e.msg
 }
 
 // Step implements rounds.Process.
 func (e *EarlyClassicalProcess) Step(round int, recv []any) (vector.Value, bool) {
 	decideNow := e.early.observe(round, recv)
 	for _, payload := range recv {
-		m, ok := payload.(EarlyMsg)
+		m, ok := payload.(*EarlyMsg)
 		if !ok {
 			continue
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"kset/internal/adversary"
@@ -321,16 +322,8 @@ func TestExecutorsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(seq.Decisions) != len(con.Decisions) {
-			t.Fatalf("decision counts differ: %v vs %v", seq.Decisions, con.Decisions)
-		}
-		for id, v := range seq.Decisions {
-			if con.Decisions[id] != v {
-				t.Fatalf("p%d: sequential %v, concurrent %v", id, v, con.Decisions[id])
-			}
-			if seq.DecisionRound[id] != con.DecisionRound[id] {
-				t.Fatalf("p%d: rounds differ", id)
-			}
+		if !slices.Equal(seq.Decisions, con.Decisions) {
+			t.Fatalf("decisions differ: sequential %+v, concurrent %+v", seq.Decisions, con.Decisions)
 		}
 	}
 }
@@ -389,10 +382,9 @@ func TestClassicalExhaustive(t *testing.T) {
 
 func TestVerifyReportsViolations(t *testing.T) {
 	input := vector.OfInts(1, 2, 3)
-	res := &rounds.Result{
-		Decisions:     map[rounds.ProcessID]vector.Value{1: 1, 2: 9, 3: 2},
-		DecisionRound: map[rounds.ProcessID]int{1: 2, 2: 2, 3: 3},
-	}
+	res := &rounds.Result{Decisions: []rounds.Decision{
+		{ID: 1, Value: 1, Round: 2}, {ID: 2, Value: 9, Round: 2}, {ID: 3, Value: 2, Round: 3},
+	}}
 	v := Verify(input, rounds.FailurePattern{}, res, 1)
 	if v.Validity {
 		t.Error("validity must fail (9 not proposed)")
@@ -406,7 +398,7 @@ func TestVerifyReportsViolations(t *testing.T) {
 	if v.OK() || v.String() == "" {
 		t.Error("verdict misreported")
 	}
-	res2 := &rounds.Result{Decisions: map[rounds.ProcessID]vector.Value{}, DecisionRound: map[rounds.ProcessID]int{}}
+	res2 := &rounds.Result{}
 	v2 := Verify(input, rounds.FailurePattern{}, res2, 1)
 	if v2.Termination {
 		t.Error("termination must fail (nobody decided)")

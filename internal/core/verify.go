@@ -36,33 +36,38 @@ func (v Verdict) String() string {
 }
 
 // Verify checks one execution result against the k-set agreement
-// specification for the given input vector and failure pattern.
+// specification for the given input vector and failure pattern. A process
+// the pattern schedules to crash is faulty and owes no decision. Violations
+// are listed by ascending process ID, with agreement last.
 func Verify(input vector.Vector, fp rounds.FailurePattern, res *rounds.Result, k int) Verdict {
 	v := Verdict{Termination: true, Validity: true, Agreement: true}
-
-	for id := 1; id <= len(input); id++ {
-		pid := rounds.ProcessID(id)
-		if _, crashed := fp.Crashes[pid]; crashed {
-			continue
-		}
-		if _, decided := res.Decisions[pid]; !decided {
+	// Only an undecided process is looked up in the pattern.
+	undecided := func(id int) {
+		if _, crashed := fp.Crashes[rounds.ProcessID(id)]; !crashed {
 			v.Termination = false
 			v.Violations = append(v.Violations, fmt.Sprintf("termination: correct p%d did not decide", id))
 		}
 	}
 
-	// One pass over the decisions collects validity, the distinct value
-	// set and the latest decision round together.
+	// One merged pass: the ID-ascending decisions are walked alongside the
+	// process IDs, collecting termination, validity, the distinct value set
+	// and the latest decision round together.
 	proposed := input.Vals()
-	for id, val := range res.Decisions {
-		if !proposed.Has(val) {
+	next := 1 // lowest process ID not yet checked for termination
+	for _, d := range res.Decisions {
+		for ; next < int(d.ID) && next <= len(input); next++ {
+			undecided(next)
+		}
+		next = max(next, int(d.ID)+1)
+		if !proposed.Has(d.Value) {
 			v.Validity = false
-			v.Violations = append(v.Violations, fmt.Sprintf("validity: p%d decided unproposed %v", id, val))
+			v.Violations = append(v.Violations, fmt.Sprintf("validity: p%d decided unproposed %v", d.ID, d.Value))
 		}
-		v.Distinct = v.Distinct.Add(val)
-		if r := res.DecisionRound[id]; r > v.MaxRound {
-			v.MaxRound = r
-		}
+		v.Distinct = v.Distinct.Add(d.Value)
+		v.MaxRound = max(v.MaxRound, d.Round)
+	}
+	for ; next <= len(input); next++ {
+		undecided(next)
 	}
 	if v.Distinct.Len() > k {
 		v.Agreement = false

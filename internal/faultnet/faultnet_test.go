@@ -3,6 +3,7 @@ package faultnet
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"kset/internal/rounds"
@@ -49,21 +50,14 @@ func randPattern(r *rand.Rand, n, t, maxRounds int) rounds.FailurePattern {
 }
 
 func resultsEqual(a, b *rounds.Result) bool {
-	if len(a.Decisions) != len(b.Decisions) || a.Rounds != b.Rounds ||
-		a.MessagesDelivered != b.MessagesDelivered || len(a.Crashed) != len(b.Crashed) {
-		return false
-	}
-	for id, v := range a.Decisions {
-		if b.Decisions[id] != v || a.DecisionRound[id] != b.DecisionRound[id] {
-			return false
-		}
-	}
-	for id := range a.Crashed {
-		if !b.Crashed[id] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a.Decisions, b.Decisions) && slices.Equal(a.Crashed, b.Crashed) &&
+		a.Rounds == b.Rounds && a.MessagesDelivered == b.MessagesDelivered
+}
+
+// decided returns the value process id decided in res (⊥ when it did not).
+func decided(res *rounds.Result, id rounds.ProcessID) vector.Value {
+	v, _ := res.Decision(id)
+	return v
 }
 
 // TestZeroFaultPlanMatchesMatrix is the refactor's equivalence property:
@@ -163,9 +157,9 @@ func TestTotalLoss(t *testing.T) {
 	if res.Lost != 2*4*4 {
 		t.Errorf("Lost = %d, want %d (every copy of 2 rounds × 4 senders × 4 dsts)", res.Lost, 2*4*4)
 	}
-	for id, v := range res.Decisions {
-		if v != vals[id-1] {
-			t.Errorf("p%d decided %v, want its own %v (nothing was delivered)", id, v, vals[id-1])
+	for _, d := range res.Decisions {
+		if d.Value != vals[d.ID-1] {
+			t.Errorf("p%d decided %v, want its own %v (nothing was delivered)", d.ID, d.Value, vals[d.ID-1])
 		}
 	}
 }
@@ -183,11 +177,11 @@ func TestScheduledDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Decisions[2] != 5 {
-		t.Errorf("p2 decided %v, want 5 (p1's round-1 copy dropped)", res.Decisions[2])
+	if decided(res, 2) != 5 {
+		t.Errorf("p2 decided %v, want 5 (p1's round-1 copy dropped)", decided(res, 2))
 	}
-	if res.Decisions[1] != 1 || res.Decisions[3] != 1 {
-		t.Errorf("p1/p3 decided %v/%v, want 1/1", res.Decisions[1], res.Decisions[3])
+	if decided(res, 1) != 1 || decided(res, 3) != 1 {
+		t.Errorf("p1/p3 decided %v/%v, want 1/1", decided(res, 1), decided(res, 3))
 	}
 	if res.Lost != 1 {
 		t.Errorf("Lost = %d, want 1", res.Lost)
@@ -210,8 +204,8 @@ func TestScheduledDelayArrives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Decisions[2] != 1 {
-		t.Errorf("p2 decided %v, want 1 (delayed round-1 copy must arrive in round 2)", res.Decisions[2])
+	if decided(res, 2) != 1 {
+		t.Errorf("p2 decided %v, want 1 (delayed round-1 copy must arrive in round 2)", decided(res, 2))
 	}
 	if res.Delayed != 1 {
 		t.Errorf("Delayed = %d, want 1", res.Delayed)
@@ -230,8 +224,8 @@ func TestScheduledDuplicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Decisions[2] != 1 {
-		t.Errorf("p2 decided %v, want 1 (on-time duplicate copy)", res.Decisions[2])
+	if decided(res, 2) != 1 {
+		t.Errorf("p2 decided %v, want 1 (on-time duplicate copy)", decided(res, 2))
 	}
 	if res.Duplicated != 1 {
 		t.Errorf("Duplicated = %d, want 1", res.Duplicated)
@@ -309,8 +303,8 @@ func TestReorderRespectsCrashPrefix(t *testing.T) {
 			res.MessagesDelivered, want)
 	}
 	got := 0
-	for _, v := range res.Decisions {
-		if v == 1 {
+	for _, d := range res.Decisions {
+		if d.Value == 1 {
 			got++
 		}
 	}

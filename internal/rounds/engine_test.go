@@ -2,27 +2,15 @@ package rounds
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"kset/internal/vector"
 )
 
 func resultsEqual(a, b *Result) bool {
-	if len(a.Decisions) != len(b.Decisions) || a.Rounds != b.Rounds ||
-		a.MessagesDelivered != b.MessagesDelivered || len(a.Crashed) != len(b.Crashed) {
-		return false
-	}
-	for id, v := range a.Decisions {
-		if b.Decisions[id] != v || a.DecisionRound[id] != b.DecisionRound[id] {
-			return false
-		}
-	}
-	for id := range a.Crashed {
-		if !b.Crashed[id] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a.Decisions, b.Decisions) && slices.Equal(a.Crashed, b.Crashed) &&
+		a.Rounds == b.Rounds && a.MessagesDelivered == b.MessagesDelivered
 }
 
 func randPattern(r *rand.Rand, n, t, maxRounds int) FailurePattern {
@@ -113,16 +101,16 @@ func TestEngineResultSurvivesReuse(t *testing.T) {
 	if _, err := e.Run(newFloodRun([]vector.Value{9, 9, 9, 9}, 1), FailurePattern{}, Options{MaxRounds: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if len(first.Decisions) != 3 || first.Decisions[1] != 1 {
+	if len(first.Decisions) != 3 || first.Decisions[0] != (Decision{ID: 1, Value: 1, Round: 1}) {
 		t.Fatalf("first result mutated by engine reuse: %+v", first)
 	}
 }
 
 // TestEngineRoundAllocBudget pins the per-run allocation budget of a
-// reused engine: one Result plus its three maps (whose bucket allocation
-// brings the observed count to ~11 at n=16), nothing per round or per
-// message — the old executor allocated the n×n matrix and a send order per
-// sender every round.
+// reused engine: one fresh Result plus its decision list (a run without
+// crashes needs no crash-list storage), nothing per round or per message —
+// the old executor allocated the n×n matrix and a send order per sender
+// every round, and the map-shaped Result cost ~11 allocations at n=16.
 func TestEngineRoundAllocBudget(t *testing.T) {
 	const n = 16
 	vals := make([]vector.Value, n)
@@ -139,7 +127,7 @@ func TestEngineRoundAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if avg > 12 {
-		t.Errorf("engine round allocates %.1f times per run, want ≤ 12", avg)
+	if avg > 2 {
+		t.Errorf("engine round allocates %.1f times per run, want ≤ 2", avg)
 	}
 }

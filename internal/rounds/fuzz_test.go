@@ -1,6 +1,7 @@
 package rounds
 
 import (
+	"slices"
 	"testing"
 
 	"kset/internal/vector"
@@ -73,9 +74,9 @@ func FuzzFailurePatternValidate(f *testing.F) {
 		if res.Rounds > maxRounds {
 			t.Fatalf("run overran the round limit: %d > %d", res.Rounds, maxRounds)
 		}
-		for id := range res.Decisions {
-			if res.Crashed[id] {
-				t.Fatalf("p%d both decided and crashed", id)
+		for _, d := range res.Decisions {
+			if slices.Contains(res.Crashed, d.ID) {
+				t.Fatalf("p%d both decided and crashed", d.ID)
 			}
 		}
 		if len(res.Decisions)+len(res.Crashed) > n {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"kset/internal/vector"
@@ -85,6 +86,18 @@ func (fp FailurePattern) CrashesByEndOfRound(r int) int {
 // Validate checks the pattern against a system of n processes running at
 // most maxRounds rounds.
 func (fp FailurePattern) Validate(n, maxRounds int) error {
+	if err := fp.resolveCrashes(n, nil); err != nil {
+		return err
+	}
+	return fp.validateOrders(n)
+}
+
+// resolveCrashes validates the crash schedule against n processes and,
+// when tab is non-nil, writes it into the dense per-run crash table
+// tab[id] (len n+1; Round 0 marks a process that never crashes). The
+// engine resolves the map once per run here so that its send phase reads
+// the table instead of probing the map per sender per round.
+func (fp FailurePattern) resolveCrashes(n int, tab []Crash) error {
 	for id, cr := range fp.Crashes {
 		if id < 1 || int(id) > n {
 			return fmt.Errorf("rounds: crash of unknown process %d", id)
@@ -95,7 +108,15 @@ func (fp FailurePattern) Validate(n, maxRounds int) error {
 		if cr.AfterSends < 0 || cr.AfterSends > n {
 			return fmt.Errorf("rounds: process %d delivers %d of %d messages", id, cr.AfterSends, n)
 		}
+		if tab != nil {
+			tab[id] = cr
+		}
 	}
+	return nil
+}
+
+// validateOrders checks every send-order override against n processes.
+func (fp FailurePattern) validateOrders(n int) error {
 	for id, byRound := range fp.Orders {
 		if id < 1 || int(id) > n {
 			return fmt.Errorf("rounds: order for unknown process %d", id)
@@ -126,14 +147,25 @@ func validatePermutation(order []ProcessID, n int) error {
 	return nil
 }
 
+// Decision is one process's decision: who decided, what, and in which
+// round (0 for executors without rounds, such as the asynchronous one).
+type Decision struct {
+	ID    ProcessID
+	Value vector.Value
+	Round int
+}
+
+// String renders the decision as id:value.
+func (d Decision) String() string { return fmt.Sprintf("%d:%v", d.ID, d.Value) }
+
 // Result reports one synchronous execution.
 type Result struct {
-	// Decisions maps each process that decided to its decided value.
-	Decisions map[ProcessID]vector.Value
-	// DecisionRound maps each decided process to its decision round.
-	DecisionRound map[ProcessID]int
-	// Crashed is the set of processes that crashed.
-	Crashed map[ProcessID]bool
+	// Decisions lists the processes that decided, in ascending ID order.
+	// len(Decisions) is the number of deciders.
+	Decisions []Decision
+	// Crashed lists the processes that crashed, in ascending ID order.
+	// A process that crashes never decides, so the two lists are disjoint.
+	Crashed []ProcessID
 	// Rounds is the number of rounds actually executed.
 	Rounds int
 	// MessagesDelivered counts the message copies the run's transport
@@ -147,40 +179,28 @@ type Result struct {
 	Lost, Delayed, Duplicated int64
 }
 
-// Reset clears the result for reuse, retaining its map storage. Batch
-// drivers that only aggregate statistics pass a recycled Result to
-// Engine.RunInto and skip the per-run map allocations entirely.
+// Reset clears the result for reuse, keeping the capacity of its lists.
+// Batch drivers that only aggregate statistics pass a recycled Result to
+// Engine.RunInto and skip the per-run allocations entirely.
 func (r *Result) Reset() {
-	if r.Decisions == nil {
-		r.Decisions = make(map[ProcessID]vector.Value)
-	} else {
-		clear(r.Decisions)
+	*r = Result{Decisions: r.Decisions[:0], Crashed: r.Crashed[:0]}
+}
+
+// Decision returns the value process id decided, if it decided.
+func (r *Result) Decision(id ProcessID) (vector.Value, bool) {
+	i, ok := slices.BinarySearchFunc(r.Decisions, id, func(d Decision, id ProcessID) int { return int(d.ID - id) })
+	if !ok {
+		return vector.Bottom, false
 	}
-	if r.DecisionRound == nil {
-		r.DecisionRound = make(map[ProcessID]int)
-	} else {
-		clear(r.DecisionRound)
-	}
-	if r.Crashed == nil {
-		r.Crashed = make(map[ProcessID]bool)
-	} else {
-		clear(r.Crashed)
-	}
-	r.Rounds = 0
-	r.MessagesDelivered = 0
-	r.Lost = 0
-	r.Delayed = 0
-	r.Duplicated = 0
+	return r.Decisions[i].Value, true
 }
 
 // MaxDecisionRound returns the latest round at which any process decided
 // (0 when nothing was decided).
 func (r *Result) MaxDecisionRound() int {
 	maxR := 0
-	for _, round := range r.DecisionRound {
-		if round > maxR {
-			maxR = round
-		}
+	for _, d := range r.Decisions {
+		maxR = max(maxR, d.Round)
 	}
 	return maxR
 }
@@ -188,8 +208,8 @@ func (r *Result) MaxDecisionRound() int {
 // DistinctDecisions returns the set of decided values.
 func (r *Result) DistinctDecisions() vector.Set {
 	var s vector.Set
-	for _, v := range r.Decisions {
-		s = s.Add(v)
+	for _, d := range r.Decisions {
+		s = s.Add(d.Value)
 	}
 	return s
 }
@@ -226,11 +246,12 @@ type Options struct {
 }
 
 // Engine executes synchronous runs while reusing its internal buffers
-// (the n×n delivery matrix, liveness bitmaps, the identity send order and
-// the per-round outcome scratch) across calls. Sweeps that drive thousands
-// of runs — exhaustive adversary model checking above all — should create
-// one Engine and call its Run repeatedly; each call then costs only the
-// small per-run Result (which the caller may retain freely).
+// (the n×n delivery matrix, liveness bitmaps, the per-run crash table and
+// decision records, the identity send order and the per-round outcome
+// scratch) across calls. Sweeps that drive thousands of runs — exhaustive
+// adversary model checking above all — should create one Engine and call
+// its Run repeatedly; each call then costs only the small per-run Result
+// (which the caller may retain freely).
 //
 // An Engine is not safe for concurrent use; Run itself may still use the
 // concurrent per-process executor internally.
@@ -240,6 +261,13 @@ type Engine struct {
 	halted   []bool
 	identity []ProcessID
 	outcomes []outcome
+
+	// Dense per-ID run state, indexed by ProcessID (len n+1): crash is the
+	// run's FailurePattern.Crashes resolved into a table (Round 0 = never
+	// crashes), dec[id] is id's decision once halted[id] is set. RunInto
+	// emits Result.Decisions and Result.Crashed from them at run end.
+	crash []Crash
+	dec   []Decision
 
 	// mt is the built-in default transport, embedded so that runs without
 	// an Options.Transport override reuse its matrix across runs.
@@ -279,6 +307,8 @@ func (e *Engine) reset(n int) {
 		e.recv = make([]any, n*n)
 		e.alive = make([]bool, n+1)
 		e.halted = make([]bool, n+1)
+		e.crash = make([]Crash, n+1)
+		e.dec = make([]Decision, n+1)
 		e.identity = make([]ProcessID, n)
 		for i := range e.identity {
 			e.identity[i] = ProcessID(i + 1)
@@ -292,6 +322,9 @@ func (e *Engine) reset(n int) {
 	e.recv = e.recv[:n*n]
 	e.alive = e.alive[:n+1]
 	e.halted = e.halted[:n+1]
+	e.crash = e.crash[:n+1]
+	e.dec = e.dec[:n+1]
+	clear(e.crash)
 	e.pay = e.pay[:n]
 	e.row = e.row[:n]
 	e.limits = e.limits[:n]
@@ -327,16 +360,17 @@ func (e *Engine) RunInto(res *Result, procs []Process, fp FailurePattern, opts O
 	if opts.MaxRounds < 1 {
 		return nil, fmt.Errorf("rounds: MaxRounds = %d, want ≥ 1", opts.MaxRounds)
 	}
-	if err := fp.Validate(n, opts.MaxRounds); err != nil {
+	e.reset(n)
+	if err := fp.resolveCrashes(n, e.crash); err != nil {
 		return nil, err
 	}
-
-	e.reset(n)
+	if err := fp.validateOrders(n); err != nil {
+		return nil, err
+	}
 	if res == nil {
 		res = &Result{
-			Decisions:     make(map[ProcessID]vector.Value, n),
-			DecisionRound: make(map[ProcessID]int, n),
-			Crashed:       make(map[ProcessID]bool, fp.NumCrashes()),
+			Decisions: make([]Decision, 0, n),
+			Crashed:   make([]ProcessID, 0, fp.NumCrashes()),
 		}
 	} else {
 		res.Reset()
@@ -379,7 +413,7 @@ func (e *Engine) RunInto(res *Result, procs []Process, fp FailurePattern, opts O
 			}
 		}
 		if fast {
-			if e.runRoundShared(procs, fp, r, res) {
+			if e.runRoundShared(procs, r, res) {
 				break
 			}
 			continue
@@ -395,6 +429,14 @@ func (e *Engine) RunInto(res *Result, procs []Process, fp FailurePattern, opts O
 		}
 		if e.runRoundTransport(procs, fp, r, res, opts, tr, rt) {
 			break
+		}
+	}
+	for id := 1; id <= n; id++ {
+		switch {
+		case e.halted[id]:
+			res.Decisions = append(res.Decisions, e.dec[id])
+		case !e.alive[id]:
+			res.Crashed = append(res.Crashed, ProcessID(id))
 		}
 	}
 	if fc, ok := tr.(FaultCounter); ok {
@@ -421,10 +463,9 @@ func (e *Engine) runRoundTransport(procs []Process, fp FailurePattern, r int, re
 		payload := procs[src-1].Send(r)
 		order := e.sendOrder(fp, ProcessID(src), r)
 		limit := n
-		if cr, ok := fp.Crashes[ProcessID(src)]; ok && cr.Round == r {
+		if cr := e.crash[src]; cr.Round == r {
 			limit = cr.AfterSends
 			e.alive[src] = false
-			res.Crashed[ProcessID(src)] = true
 			if rt != nil {
 				rt.Crashes = append(rt.Crashes, ProcessID(src))
 			}
@@ -471,8 +512,7 @@ func (e *Engine) runRoundTransport(procs []Process, fp FailurePattern, r int, re
 	for _, o := range outcomes {
 		if o.done {
 			e.halted[o.id] = true
-			res.Decisions[o.id] = o.value
-			res.DecisionRound[o.id] = r
+			e.dec[o.id] = Decision{ID: o.id, Value: o.value, Round: r}
 			if rt != nil {
 				rt.Decisions[o.id] = o.value
 			}
@@ -587,7 +627,7 @@ func (e *Engine) stepConcurrent(procs []Process, r int, outcomes []outcome) []ou
 // alive has decided). Semantics match the matrix path exactly: a sender
 // crashing after s sends delivers to destinations p_1..p_s of the fixed
 // identity order.
-func (e *Engine) runRoundShared(procs []Process, fp FailurePattern, r int, res *Result) (stop bool) {
+func (e *Engine) runRoundShared(procs []Process, r int, res *Result) (stop bool) {
 	n := len(procs)
 	// Send phase: one payload and delivery limit per sender. limits[src-1]
 	// is −1 for non-senders, otherwise the length of the delivery prefix.
@@ -601,10 +641,9 @@ func (e *Engine) runRoundShared(procs []Process, fp FailurePattern, r int, res *
 		}
 		e.pay[src-1] = procs[src-1].Send(r)
 		limit := n
-		if cr, ok := fp.Crashes[ProcessID(src)]; ok && cr.Round == r {
+		if cr := e.crash[src]; cr.Round == r {
 			limit = cr.AfterSends
 			e.alive[src] = false
-			res.Crashed[ProcessID(src)] = true
 		}
 		e.limits[src-1] = limit
 		delivered += int64(limit)
@@ -645,8 +684,7 @@ func (e *Engine) runRoundShared(procs []Process, fp FailurePattern, r int, res *
 	for _, o := range outcomes {
 		if o.done {
 			e.halted[o.id] = true
-			res.Decisions[o.id] = o.value
-			res.DecisionRound[o.id] = r
+			e.dec[o.id] = Decision{ID: o.id, Value: o.value, Round: r}
 		}
 	}
 

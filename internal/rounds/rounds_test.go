@@ -1,6 +1,7 @@
 package rounds
 
 import (
+	"slices"
 	"testing"
 
 	"kset/internal/vector"
@@ -48,12 +49,9 @@ func TestRunFailureFree(t *testing.T) {
 		if len(res.Decisions) != 4 {
 			t.Fatalf("concurrent=%v: %d decisions, want 4", concurrent, len(res.Decisions))
 		}
-		for id, v := range res.Decisions {
-			if v != 2 {
-				t.Errorf("concurrent=%v: p%d decided %v, want 2", concurrent, id, v)
-			}
-			if res.DecisionRound[id] != 2 {
-				t.Errorf("concurrent=%v: p%d decided at round %d, want 2", concurrent, id, res.DecisionRound[id])
+		for i, d := range res.Decisions {
+			if d != (Decision{ID: ProcessID(i + 1), Value: 2, Round: 2}) {
+				t.Errorf("concurrent=%v: decision %v, want p%d deciding 2 in round 2", concurrent, d, i+1)
 			}
 		}
 		if got := res.DistinctDecisions(); !got.Equal(vector.SetOf(2)) {
@@ -84,16 +82,16 @@ func TestRunCrashPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Crashed[1] != true || len(res.Crashed) != 1 {
+	if !slices.Equal(res.Crashed, []ProcessID{1}) {
 		t.Errorf("crashed = %v", res.Crashed)
 	}
-	if _, ok := res.Decisions[1]; ok {
+	if _, ok := res.Decision(1); ok {
 		t.Error("crashed process decided")
 	}
 	want := map[ProcessID]vector.Value{2: 1, 3: 2, 4: 2}
 	for id, v := range want {
-		if res.Decisions[id] != v {
-			t.Errorf("p%d decided %v, want %v", id, res.Decisions[id], v)
+		if got, _ := res.Decision(id); got != v {
+			t.Errorf("p%d decided %v, want %v", id, got, v)
 		}
 	}
 
@@ -104,8 +102,8 @@ func TestRunCrashPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []ProcessID{2, 3, 4} {
-		if res.Decisions[id] != 1 {
-			t.Errorf("round 2: p%d decided %v, want 1", id, res.Decisions[id])
+		if got, _ := res.Decision(id); got != 1 {
+			t.Errorf("round 2: p%d decided %v, want 1", id, got)
 		}
 	}
 }
@@ -119,8 +117,8 @@ func TestRunInitialCrashSendsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []ProcessID{2, 3} {
-		if res.Decisions[id] != 9 {
-			t.Errorf("p%d decided %v, want 9 (p1's value must be lost)", id, res.Decisions[id])
+		if got, _ := res.Decision(id); got != 9 {
+			t.Errorf("p%d decided %v, want 9 (p1's value must be lost)", id, got)
 		}
 	}
 }

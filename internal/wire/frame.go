@@ -80,7 +80,7 @@ func (t FrameType) String() string {
 
 // Frame is one decoded datagram. For data frames Payload holds the round
 // payload exactly as the engine hands it to Transport.Send: a
-// vector.Value, a *core.StateMsg, or a core.EarlyMsg wrapping one of
+// vector.Value, a *core.StateMsg, or a *core.EarlyMsg wrapping one of
 // those. For the other types Payload is nil and Round carries the frame's
 // round context (for a fin: the last round the sender participated in).
 type Frame struct {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"testing"
 
@@ -37,18 +38,18 @@ func roundTripFrames() []Frame {
 		{Type: TypeData, Round: 2, Src: 4, Dst: 2, Payload: &core.StateMsg{Cond: 63, Out: 63, Tmf: 63}},
 		{Type: TypeData, Round: 3, Src: 1, Dst: 2, Payload: &core.StateMsg{Cond: 64, Out: 0, Tmf: 5}},
 		{Type: TypeData, Round: 3, Src: 1, Dst: 2, Payload: &core.StateMsg{Cond: 64, Out: 64, Tmf: 64}},
-		{Type: TypeData, Round: 1, Src: 5, Dst: 6, Payload: core.EarlyMsg{Payload: vector.Value(4), Flag: false}},
-		{Type: TypeData, Round: 1, Src: 5, Dst: 6, Payload: core.EarlyMsg{Payload: vector.Value(4), Flag: true}},
-		{Type: TypeData, Round: 4, Src: 6, Dst: 5, Payload: core.EarlyMsg{Payload: &core.StateMsg{Cond: 2, Out: 1, Tmf: 0}, Flag: true}},
-		{Type: TypeData, Round: 4, Src: 6, Dst: 5, Payload: core.EarlyMsg{Payload: &core.StateMsg{Out: 64}, Flag: false}},
+		{Type: TypeData, Round: 1, Src: 5, Dst: 6, Payload: &core.EarlyMsg{Payload: vector.Value(4), Flag: false}},
+		{Type: TypeData, Round: 1, Src: 5, Dst: 6, Payload: &core.EarlyMsg{Payload: vector.Value(4), Flag: true}},
+		{Type: TypeData, Round: 4, Src: 6, Dst: 5, Payload: &core.EarlyMsg{Payload: &core.StateMsg{Cond: 2, Out: 1, Tmf: 0}, Flag: true}},
+		{Type: TypeData, Round: 4, Src: 6, Dst: 5, Payload: &core.EarlyMsg{Payload: &core.StateMsg{Out: 64}, Flag: false}},
 	}
 }
 
 // samePayload compares payloads by value (state messages cross the codec
 // by content, not pointer).
 func samePayload(a, b any) bool {
-	if ea, ok := a.(core.EarlyMsg); ok {
-		eb, ok := b.(core.EarlyMsg)
+	if ea, ok := a.(*core.EarlyMsg); ok {
+		eb, ok := b.(*core.EarlyMsg)
 		return ok && ea.Flag == eb.Flag && samePayload(ea.Payload, eb.Payload)
 	}
 	if sa, ok := a.(*core.StateMsg); ok {
@@ -82,6 +83,25 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEarlyFrameBytes pins the exact encodings of the early-deciding
+// wrapper, so the payload's Go shape (sent by pointer) can change without
+// changing a byte on the wire.
+func TestEarlyFrameBytes(t *testing.T) {
+	for _, tc := range []struct {
+		f   Frame
+		hex string
+	}{
+		{Frame{Type: TypeData, Round: 1, Src: 5, Dst: 6, Payload: &core.EarlyMsg{Payload: vector.Value(4)}}, "6b01000105064104"},
+		{Frame{Type: TypeData, Round: 1, Src: 5, Dst: 6, Payload: &core.EarlyMsg{Payload: vector.Value(4), Flag: true}}, "6b0100010506c104"},
+		{Frame{Type: TypeData, Round: 4, Src: 6, Dst: 5, Payload: &core.EarlyMsg{Payload: &core.StateMsg{Cond: 2, Out: 1}, Flag: true}}, "6b0100040605c20000000000042040"},
+		{Frame{Type: TypeData, Round: 4, Src: 6, Dst: 5, Payload: &core.EarlyMsg{Payload: &core.StateMsg{Out: 64}}}, "6b010004060543004000"},
+	} {
+		if got := hex.EncodeToString(mustEncode(t, &tc.f)); got != tc.hex {
+			t.Errorf("encode %+v = %s, want %s", tc.f, got, tc.hex)
+		}
+	}
+}
+
 func TestEncodeRejects(t *testing.T) {
 	cases := []struct {
 		name string
@@ -100,7 +120,8 @@ func TestEncodeRejects(t *testing.T) {
 		{"state field above cap", Frame{Type: TypeData, Round: 1, Src: 1, Dst: 2, Payload: &core.StateMsg{Cond: 65}}},
 		{"unsupported payload", Frame{Type: TypeData, Round: 1, Src: 1, Dst: 2, Payload: "nope"}},
 		{"nested early", Frame{Type: TypeData, Round: 1, Src: 1, Dst: 2,
-			Payload: core.EarlyMsg{Payload: core.EarlyMsg{Payload: vector.Value(1)}}}},
+			Payload: &core.EarlyMsg{Payload: &core.EarlyMsg{Payload: vector.Value(1)}}}},
+		{"nil early", Frame{Type: TypeData, Round: 1, Src: 1, Dst: 2, Payload: (*core.EarlyMsg)(nil)}},
 	}
 	var buf [MaxFrame]byte
 	for _, tc := range cases {

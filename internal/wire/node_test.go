@@ -84,13 +84,19 @@ func wantEngineMatch(t *testing.T, out map[rounds.ProcessID]nodeOutcome, fp roun
 		if o.err != nil {
 			t.Fatalf("node %d: %v", id, o.err)
 		}
-		wv, decided := want.Decisions[id]
+		var wd rounds.Decision
+		decided := false
+		for _, d := range want.Decisions {
+			if d.ID == id {
+				wd, decided = d, true
+			}
+		}
 		if o.res.Decided != decided {
 			t.Fatalf("node %d: decided=%v, engine says %v (%+v)", id, o.res.Decided, decided, o.res)
 		}
-		if decided && (o.res.Value != wv || o.res.Round != want.DecisionRound[id]) {
+		if decided && (o.res.Value != wd.Value || o.res.Round != wd.Round) {
 			t.Fatalf("node %d: decided %v@r%d, engine %v@r%d",
-				id, o.res.Value, o.res.Round, wv, want.DecisionRound[id])
+				id, o.res.Value, o.res.Round, wd.Value, wd.Round)
 		}
 	}
 }

@@ -115,6 +115,8 @@ type (
 	ProcessID = rounds.ProcessID
 	// Result reports one synchronous execution.
 	Result = rounds.Result
+	// Decision is one entry of Result.Decisions: process, value, round.
+	Decision = rounds.Decision
 	// Verdict reports specification conformance of an execution.
 	Verdict = core.Verdict
 )

@@ -45,11 +45,19 @@ cd "$(dirname "$0")/.."
 # goroutine-per-process executor); AsyncCampaign is a fixed 512-scenario
 # asynchronous campaign through pooled worker Runners (measured: 2553,
 # ~5 allocs/run).
+# VerifiedCampaign is the shape a production synchronous sweep runs and
+# the other campaign arms miss: a fixed 512-scenario VerifyRuns campaign
+# over a compiled explicit condition, cycling Figure2, EarlyDeciding and
+# Classical. With list-shaped Results, pointer-sent early-deciding
+# messages, packed-key view decoding and per-worker scenario storage a
+# verified run allocates nothing, leaving only campaign setup (measured:
+# 55; 9145 before, ~18 allocs/run). The same changes took CollectorPath
+# from 556–583 to 70, so its budget now also pins 0 allocs/run.
 budgets='
 BenchmarkE1Lattice 2400
 BenchmarkE9Adversary 400
 BenchmarkCampaignThroughput/campaign 4
-BenchmarkCollectorPath 700
+BenchmarkCollectorPath 100
 BenchmarkEngineTransport/matrix 0
 BenchmarkEngineTransport/faultnet 0
 BenchmarkSubmitPath 40
@@ -60,6 +68,7 @@ BenchmarkSnapshotScan/waitfree 1
 BenchmarkE10Async 40
 BenchmarkEngineConcurrent 60
 BenchmarkAsyncCampaign 3000
+BenchmarkVerifiedCampaign 64
 '
 
 # Wall-clock budgets (ns/op), used sparingly: ns/op is noisy in CI, so only
@@ -71,7 +80,7 @@ nsbudgets='
 BenchmarkE10Async 120000
 '
 
-raw="$(go test -run '^$' -bench 'E1Lattice$|E9Adversary$|CampaignThroughput/campaign|CollectorPath$|EngineTransport|SubmitPath$|CheckpointEncode$|WireEncode$|E10Async$|SnapshotScan|EngineConcurrent$|AsyncCampaign$' \
+raw="$(go test -run '^$' -bench 'E1Lattice$|E9Adversary$|CampaignThroughput/campaign|CollectorPath$|EngineTransport|SubmitPath$|CheckpointEncode$|WireEncode$|E10Async$|SnapshotScan|EngineConcurrent$|AsyncCampaign$|VerifiedCampaign$' \
 	-benchmem -benchtime "$benchtime" -count 1 . ./internal/rounds/ ./internal/service/ ./internal/wire/)"
 printf '%s\n' "$raw"
 

@@ -191,8 +191,8 @@ var (
 	Classical Executor = classicalExec{}
 	// Asynchronous is the Section-4 condition-based ℓ-set agreement
 	// algorithm over an atomic-snapshot memory. Results have no rounds
-	// (Result.Rounds is 0); undecided processes are absent from
-	// Result.Decisions.
+	// (Result.Rounds and every Decision.Round are 0); undecided processes
+	// are absent from Result.Decisions.
 	Asynchronous Executor = asyncExec{}
 )
 
@@ -325,12 +325,10 @@ func (asyncExec) run(ctx context.Context, s *System, w *worker, sc *Scenario, re
 	res.Reset()
 	for id := 1; id <= n; id++ {
 		if v, ok := out.Decision(id); ok {
-			res.Decisions[ProcessID(id)] = v
+			res.Decisions = append(res.Decisions, rounds.Decision{ID: ProcessID(id), Value: v})
 		}
-	}
-	for i, c := range cp {
-		if c != async.NoCrash {
-			res.Crashed[ProcessID(i+1)] = true
+		if cp[id-1] != async.NoCrash {
+			res.Crashed = append(res.Crashed, ProcessID(id))
 		}
 	}
 	return res, nil
@@ -357,6 +355,11 @@ type worker struct {
 	runner *core.Runner
 	res    *rounds.Result
 	ft     *faultnet.Transport
+
+	// sc holds the campaign scenario being run, so executors take a
+	// pointer into the pooled worker rather than moving every scenario to
+	// the heap.
+	sc Scenario
 
 	// Asynchronous-plane state: a reusable scheduler Runner, a recycled
 	// Outcome and the dense crash-point scratch, so campaign sweeps of
@@ -419,5 +422,8 @@ func (w *worker) transport(s *System, sc *Scenario) (rounds.Transport, error) {
 // construct one per call — still reuse warmed engine buffers.
 var workerPool = sync.Pool{New: func() any { return &worker{runner: core.NewRunner()} }}
 
-func getWorker() *worker  { return workerPool.Get().(*worker) }
-func putWorker(w *worker) { workerPool.Put(w) }
+func getWorker() *worker { return workerPool.Get().(*worker) }
+func putWorker(w *worker) {
+	w.sc = Scenario{} // the pool must not pin the last scenario's storage
+	workerPool.Put(w)
+}

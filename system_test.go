@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -139,10 +140,7 @@ func TestSystemMatchesDeprecatedWrappers(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got.Decisions, want.Decisions) {
-				t.Errorf("decisions %v, free function got %v", got.Decisions, want.Decisions)
-			}
-			if !reflect.DeepEqual(got.DecisionRound, want.DecisionRound) {
-				t.Errorf("rounds %v, free function got %v", got.DecisionRound, want.DecisionRound)
+				t.Errorf("decisions %+v, free function got %+v", got.Decisions, want.Decisions)
 			}
 			if v := kset.Verify(input, fp, got, p.K); !v.OK() {
 				t.Errorf("verdict: %v", v)
@@ -232,10 +230,10 @@ func TestAsynchronousExecutor(t *testing.T) {
 	if res.Rounds != 0 {
 		t.Errorf("async result has Rounds=%d, want 0", res.Rounds)
 	}
-	if !res.Crashed[5] {
+	if !slices.Contains(res.Crashed, 5) {
 		t.Error("p5 should be marked crashed")
 	}
-	if _, decided := res.Decisions[5]; decided {
+	if _, decided := res.Decision(5); decided {
 		t.Error("crashed p5 must not decide")
 	}
 	if len(res.Decisions) != 4 {
@@ -243,6 +241,55 @@ func TestAsynchronousExecutor(t *testing.T) {
 	}
 	if d := res.DistinctDecisions(); d.Len() > 2 {
 		t.Errorf("too many distinct values: %v", d)
+	}
+}
+
+// TestAsynchronousResultListsAscending: the async executor fills the
+// same list shape as the synchronous engine — Decisions and Crashed
+// ID-ascending and disjoint, every decision round 0 — over seeds and
+// crash placements.
+func TestAsynchronousResultListsAscending(t *testing.T) {
+	cond, err := kset.NewMaxCondition(7, 3, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := testSystem(t,
+		kset.WithParams(kset.Params{N: 7, T: 3, K: 2, D: 0, L: 2}),
+		kset.WithCondition(cond),
+		kset.WithExecutor(kset.Asynchronous),
+	)
+	sortedIDs := func(ids []kset.ProcessID) bool {
+		return slices.IsSorted(ids) && len(slices.Compact(slices.Clone(ids))) == len(ids)
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		res, err := sys.RunScenario(context.Background(), kset.Scenario{
+			Input: kset.VectorOf(3, 1, 3, 2, 1, 2, 3),
+			AsyncCrashes: map[int]kset.CrashPoint{
+				int(seed%7) + 1:     kset.CrashAfterWrite,
+				int((seed+3)%7) + 1: kset.CrashBeforeWrite,
+				int((seed*5)%7) + 1: kset.CrashAfterWrite,
+			},
+			Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []kset.ProcessID
+		for _, d := range res.Decisions {
+			if d.Round != 0 {
+				t.Fatalf("seed %d: async decision %+v carries a round", seed, d)
+			}
+			if slices.Contains(res.Crashed, d.ID) {
+				t.Fatalf("seed %d: p%d both decided and crashed", seed, d.ID)
+			}
+			ids = append(ids, d.ID)
+		}
+		if !sortedIDs(ids) || !sortedIDs(res.Crashed) {
+			t.Fatalf("seed %d: lists not ID-ascending: %+v", seed, res)
+		}
+		if len(res.Crashed) == 0 {
+			t.Fatalf("seed %d: no crash recorded: %+v", seed, res)
+		}
 	}
 }
 
